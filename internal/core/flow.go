@@ -309,7 +309,11 @@ func (p *Project) ExtractCouplingsCtx(ctx context.Context, pairs [][2]string) (m
 }
 
 // CircuitWithCouplings returns a clone of the circuit with the K elements
-// set from extracted coupling factors (step 4's input).
+// set from extracted coupling factors (step 4's input). The result is
+// element for element what calling SetCoupling once per pair, in sorted
+// pair order, would produce; the K elements are indexed by unordered
+// inductor pair once, so the insertion is linear in the pair count
+// rather than one element scan per pair.
 func (p *Project) CircuitWithCouplings(ks map[[2]string]float64) *netlist.Circuit {
 	ckt := p.Circuit.Clone()
 	// Deterministic insertion order.
@@ -323,12 +327,33 @@ func (p *Project) CircuitWithCouplings(ks map[[2]string]float64) *netlist.Circui
 		}
 		return pairs[i][1] < pairs[j][1]
 	})
+	// SetCoupling updates the first K in element order that couples the
+	// pair in either orientation, so the index keeps the first one.
+	unordered := func(la, lb string) [2]string {
+		if lb < la {
+			la, lb = lb, la
+		}
+		return [2]string{la, lb}
+	}
+	kOf := make(map[[2]string]*netlist.Element, len(pairs))
+	for _, e := range ckt.Elements {
+		if e.Kind == netlist.K {
+			if key := unordered(e.LA, e.LB); kOf[key] == nil {
+				kOf[key] = e
+			}
+		}
+	}
 	for _, pair := range pairs {
 		la, lb := p.InductorOf[pair[0]], p.InductorOf[pair[1]]
 		if la == "" || lb == "" {
 			continue
 		}
-		ckt.SetCoupling(la, lb, ks[pair])
+		key := unordered(la, lb)
+		if e := kOf[key]; e != nil {
+			e.Coup = ks[pair]
+			continue
+		}
+		kOf[key] = ckt.AddK("K_"+la+"_"+lb, la, lb, ks[pair])
 	}
 	return ckt
 }

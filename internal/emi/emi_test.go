@@ -1,6 +1,7 @@
 package emi
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -221,6 +222,32 @@ func TestPredictorSpectrum(t *testing.T) {
 	// The circuit is untouched.
 	if p.Circuit.Find("Vsw").Src.ACMag != 0 {
 		t.Error("Predictor mutated the input circuit")
+	}
+}
+
+// TestBandSolverLeavesSourcesAlone: a sweep computes each harmonic's
+// source phasors into the right-hand side; neither the solver's cloned
+// source elements nor the input circuit are written.
+func TestBandSolverLeavesSourcesAlone(t *testing.T) {
+	t.Parallel()
+	c := testConverter(0.05)
+	input := c.String()
+	bs, err := NewBandSolver(c, []string{"Vsw"}, "lisn_meas", 0, 30e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := bs.srcs[0].Src
+	before, pulse := *src, *src.Pulse
+	for i := 0; i < 2; i++ {
+		if _, err := bs.SpectrumCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *src != before || *src.Pulse != pulse {
+		t.Errorf("sweep mutated the cloned source: %+v (pulse %+v), was %+v (pulse %+v)", *src, *src.Pulse, before, pulse)
+	}
+	if c.String() != input {
+		t.Error("sweep mutated the input circuit")
 	}
 }
 

@@ -39,7 +39,7 @@ type Predictor struct {
 
 	// Solver overrides the MNA factorization backend for this prediction
 	// only (ModeAuto, the zero value, defers to the process default). It
-	// applies to every analyzer the fan-out compiles, so a per-request
+	// applies to the prediction's own compiled analyzer, so a per-request
 	// choice never races another job's.
 	Solver linalg.SolverMode
 }
@@ -50,15 +50,15 @@ func (p *Predictor) Spectrum() (*Spectrum, error) {
 }
 
 // BandSolver evaluates emission spectra repeatedly over one circuit: it
-// clones the circuit once, compiles one analyzer, and reuses both (plus
-// the analyzer's assembly and factorization buffers) across harmonics and
-// across whole predictions. It is the serial core of Predictor's fan-out
+// clones the circuit once and compiles one analyzer, which every
+// prediction's harmonic sweep shares. It is the engine behind Predictor
 // and the per-worker engine of the sensitivity ranking, which re-predicts
 // the band once per probed inductor pair. Not safe for concurrent use;
 // create one per goroutine.
 type BandSolver struct {
 	an      *mna.Analyzer
 	srcs    []*netlist.Element
+	slots   []int // each source's index in the analyzer's Drive phasors
 	ks      []int
 	f1      float64
 	measure string
@@ -112,6 +112,10 @@ func NewBandSolver(ckt *netlist.Circuit, sources []string, measure string, harmo
 		return nil, err
 	}
 	b.an = an
+	for _, e := range b.srcs {
+		slot, _ := an.SourceIndex(e.Name) // found: e is a V/I element of wc
+		b.slots = append(b.slots, slot)
+	}
 	return b, nil
 }
 
@@ -131,45 +135,36 @@ func (b *BandSolver) Freqs() []float64 {
 	return out
 }
 
-// SolveHarmonic solves grid point i and returns the measure-node level in
-// dBµV. The sources are driven coherently by their own Fourier
-// coefficients — the harmonic's RMS phasors — and the solve superposes
-// them.
-func (b *BandSolver) SolveHarmonic(i int) (float64, error) {
+// drive sets grid point i's source phasors: each source is driven by its
+// own Fourier coefficient c_k, as the RMS phasor √2·|c_k|∠c_k, so the
+// solve superposes all sources coherently.
+func (b *BandSolver) drive(i int, src []complex128) {
 	k := b.ks[i]
-	f := float64(k) * b.f1
-	for _, e := range b.srcs {
+	for j, e := range b.srcs {
 		ck := TrapezoidHarmonic(e.Src.Pulse, k)
-		e.Src.ACMag = math.Sqrt2 * cmplx.Abs(ck)
-		e.Src.ACPhase = cmplx.Phase(ck)
+		src[b.slots[j]] = cmplx.Rect(math.Sqrt2*cmplx.Abs(ck), cmplx.Phase(ck))
 	}
-	sol, err := b.an.Solve(f)
-	if err != nil {
-		return 0, fmt.Errorf("emi: harmonic %d: %w", k, err)
-	}
-	return DBuV(cmplx.Abs(sol.NodeVoltage(b.measure))), nil
 }
 
-// SpectrumCtx computes the whole band serially, checking ctx between
-// harmonics. Callers running many predictions fan out at a higher level
-// (one BandSolver per worker) rather than per harmonic.
+// SpectrumCtx computes the whole band: the harmonics fan out over the
+// engine pool as one sweep of the compiled analyzer (see mna.SweepCtx),
+// so the spectrum is bit-identical under any parallelism. Once ctx is
+// done no further harmonic solves start and the context's error is
+// returned.
 func (b *BandSolver) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
-	_, sp := obs.Start(ctx, "emi.band")
+	ctx, sp := obs.Start(ctx, "emi.band")
 	sp.Int("harmonics", int64(len(b.ks)))
 	defer sp.End()
 	out := &Spectrum{
 		Freqs: b.Freqs(),
 		DB:    make([]float64, len(b.ks)),
 	}
-	for i := range b.ks {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		db, err := b.SolveHarmonic(i)
-		if err != nil {
-			return nil, err
-		}
-		out.DB[i] = db
+	err := b.an.SweepCtx(ctx, out.Freqs, b.drive, func(i int, sol *mna.Solution) error {
+		out.DB[i] = DBuV(cmplx.Abs(sol.NodeVoltage(b.measure)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -181,47 +176,17 @@ func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 	if len(names) == 0 {
 		names = []string{p.SourceName}
 	}
-	// Validate and size the grid once; the workers compile their own
-	// solvers from the same inputs.
-	proto, err := NewBandSolver(p.Circuit, names, p.MeasureNode, p.Harmonics, p.MaxFreq)
+	bs, err := NewBandSolver(p.Circuit, names, p.MeasureNode, p.Harmonics, p.MaxFreq)
 	if err != nil {
 		return nil, err
 	}
-	proto.SetSolver(p.Solver)
-	ks := proto.ks
-
-	// The harmonics are independent AC solves: fan them out over the
-	// shared engine pool. Each worker gets its own BandSolver (clone +
-	// compiled analyzer) because the source phasors are set per harmonic;
-	// each harmonic writes only its own slot, so the spectrum is
-	// identical under any parallelism.
+	bs.SetSolver(p.Solver)
 	defer engine.Phase("emi.harmonics")()
 	ctx, sp := obs.Start(ctx, "emi.spectrum")
-	sp.Int("harmonics", int64(len(ks)))
+	sp.Int("harmonics", int64(len(bs.ks)))
 	sp.Int("sources", int64(len(names)))
 	defer sp.End()
-	dbs := make([]float64, len(ks))
-	err = engine.ForEachStateCtx(ctx, len(ks),
-		func() (*BandSolver, error) {
-			bs, err := NewBandSolver(p.Circuit, names, p.MeasureNode, p.Harmonics, p.MaxFreq)
-			if err != nil {
-				return nil, err
-			}
-			bs.SetSolver(p.Solver)
-			return bs, nil
-		},
-		func(s *BandSolver, i int) error {
-			db, err := s.SolveHarmonic(i)
-			if err != nil {
-				return err
-			}
-			dbs[i] = db
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &Spectrum{Freqs: proto.Freqs(), DB: dbs}, nil
+	return bs.SpectrumCtx(ctx)
 }
 
 // InBand returns the sub-spectrum within [lo, hi].

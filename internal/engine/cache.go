@@ -9,10 +9,13 @@ import "sync"
 const (
 	cacheShards = 64
 	// maxPerShard bounds memory: when a shard fills up it is dropped
-	// wholesale (epoch eviction). 1<<14 entries/shard ≈ 1M entries total,
-	// tens of MB worst case — far beyond any single design's working set,
-	// so eviction only matters for very long sessions.
-	maxPerShard = 1 << 14
+	// wholesale (epoch eviction). 1<<12 entries/shard ≈ 262k entries
+	// total, ≈ 10 MB of live heap — above the working set of any design
+	// in the repository (the 10k-segment board's 254k hierarchical pairs
+	// fit on average; an explore or serve run touches ≈ 5k keys). A run
+	// that streams fresh geometry (every generated board unique) only
+	// ever misses, so a larger cap would only grow its heap.
+	maxPerShard = 1 << 12
 )
 
 type cacheShard struct {

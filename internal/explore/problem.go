@@ -245,8 +245,9 @@ func (p *DesignProblem) Evaluate(ctx context.Context, genes []float64) ([]float6
 
 // worstMargin runs the coupled EMI prediction of the candidate: couplings
 // extracted from its placement, sweep multipliers applied to the circuit,
-// one BandSolver compiled and reused serially across the harmonics —
-// the parallelism lives across candidates, not inside one.
+// one BandSolver compiled and swept over the harmonics. The sweep shares
+// the engine pool with the candidates' fan-out, so it runs inline while
+// every worker is busy with a candidate.
 func (p *DesignProblem) worstMargin(ctx context.Context, d *layout.Design, mults []float64) (float64, error) {
 	proj := *p.Project
 	proj.Design = d

@@ -79,6 +79,9 @@ type spLU[T scalar] struct {
 	topoBuf []int32
 
 	haveSymbolic bool
+	// from is the factorization whose symbolic analysis f currently
+	// holds a copy of (see resetTo); nil once f has pivoted on its own.
+	from *spLU[T]
 }
 
 // factorAuto numerically (re)factorizes the values av laid out on pat:
@@ -123,6 +126,7 @@ func (f *spLU[T]) init(pat *Pattern) {
 // needs.
 func (f *spLU[T]) factorFull(pat *Pattern, av []T) error {
 	f.haveSymbolic = false
+	f.from = nil
 	f.init(pat)
 	n := f.n
 	for i := range f.x {
@@ -230,6 +234,32 @@ func (f *spLU[T]) factorFull(pat *Pattern, av []T) error {
 	}
 	f.haveSymbolic = true
 	return nil
+}
+
+// resetTo makes f hold a copy of base's symbolic analysis, so the next
+// factorAuto replays base's pivot order whatever f factored before. It
+// is a no-op while f still holds that copy (no repivot since).
+func (f *spLU[T]) resetTo(base *spLU[T]) {
+	if f.from == base {
+		return
+	}
+	f.from = base
+	f.haveSymbolic = base.haveSymbolic
+	if !base.haveSymbolic {
+		return
+	}
+	f.init(base.pat)
+	f.lp = append(f.lp[:0], base.lp...)
+	f.up = append(f.up[:0], base.up...)
+	f.liOrig = append(f.liOrig[:0], base.liOrig...)
+	f.liPiv = append(f.liPiv[:0], base.liPiv...)
+	f.ui = append(f.ui[:0], base.ui...)
+	f.lx = append(f.lx[:0], base.lx...)
+	f.ux = append(f.ux[:0], base.ux...)
+	f.patPtr = append(f.patPtr[:0], base.patPtr...)
+	f.patRow = append(f.patRow[:0], base.patRow...)
+	copy(f.pinv, base.pinv)
+	copy(f.pivRow, base.pivRow)
 }
 
 func (f *spLU[T]) clearColumn(topo []int32) {
@@ -456,6 +486,14 @@ func (m *SparseComplex) Factor(f *SparseComplexLU) error { return f.lu.factorAut
 type SparseComplexLU struct {
 	lu spLU[complex128]
 }
+
+// ReplayFrom makes the next Factor into f replay base's symbolic
+// analysis — its pivot order — instead of whatever f last factored. A
+// sweep that calls it before every point gets results that depend only
+// on base and that point's values: a repivot at one point does not
+// carry over to the next, so the bits do not depend on which worker
+// solved which points before. base must not be refactored meanwhile.
+func (f *SparseComplexLU) ReplayFrom(base *SparseComplexLU) { f.lu.resetTo(&base.lu) }
 
 // SolveFactored solves A·x = b against the retained factorization
 // without allocating; x may alias b.

@@ -227,6 +227,47 @@ func TestSparseRepivotFallback(t *testing.T) {
 	}
 }
 
+// TestSparseReplayFromIgnoresHistory: after ReplayFrom(base), a
+// factorization replays base's pivot order even when the receiving LU
+// re-pivoted on other values before, so its bits match a fresh replay.
+func TestSparseReplayFromIgnoresHistory(t *testing.T) {
+	flat := []int{0, 1, 2, 3} // cells (0,0) (0,1) (1,0) (1,1)
+	pat, slots := NewPatternFromFlat(2, flat)
+	m := NewSparseComplex(pat)
+	set := func(v ...complex128) {
+		m.Zero()
+		for p := range flat {
+			m.V[slots[p]] = v[p]
+		}
+	}
+	var base, used, fresh SparseComplexLU
+	set(4, 1, 1, 4) // diagonal pivots
+	if err := m.Factor(&base); err != nil {
+		t.Fatal(err)
+	}
+	set(0, 1, 1, 4) // forces the off-diagonal pivot in used's history
+	if err := m.Factor(&used); err != nil {
+		t.Fatal(err)
+	}
+	vals := []complex128{0.3 + 0.7i, 1.1 - 0.2i, 0.9 + 0.4i, 2.5 - 1.3i}
+	solve := func(f *SparseComplexLU) []complex128 {
+		f.ReplayFrom(&base)
+		set(vals...)
+		if err := m.Factor(f); err != nil {
+			t.Fatal(err)
+		}
+		x := make([]complex128, 2)
+		if err := f.SolveFactored([]complex128{1, 1i}, x); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	got, want := solve(&used), solve(&fresh)
+	if got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("replay after a re-pivot %v, fresh replay %v", got, want)
+	}
+}
+
 // TestSparseSingularParity checks that the sparse backend reports the
 // same typed ErrSingular as the dense one on structurally and
 // numerically singular systems.

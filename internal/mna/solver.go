@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/linalg"
@@ -40,21 +41,27 @@ type planEntry struct {
 }
 
 // srcSlot is one precompiled right-hand-side contribution of an
-// independent source. The slot keeps a pointer to the element's Source so
-// per-harmonic phasor updates (emi drives ACMag/ACPhase per harmonic) are
-// picked up without recompiling.
+// independent source: src indexes the Analyzer's sources, whose phasor at
+// a sweep point is the element's own excitation unless the sweep's Drive
+// overrides it.
 type srcSlot struct {
 	row      int
 	negative bool
-	src      *netlist.Source
+	src      int
 }
+
+// Drive sets the source phasors of sweep point i: src holds one value per
+// independent source (see SourceIndex), preset to each element's own
+// excitation at the point's frequency, and Drive overwrites the entries it
+// drives. It runs on the sweep's workers concurrently and must only read
+// shared state.
+type Drive func(i int, src []complex128)
 
 // Analyzer prepares a circuit for repeated AC solves. The compiled stamp
 // plans are immutable during solves; the solve scratch (assembly buffer,
 // factorization, solution) is reused call to call, so an Analyzer is not
-// safe for concurrent use — SweepNodeCtx fans out internally with
-// per-worker scratch, and parallel callers construct one Analyzer per
-// worker.
+// safe for concurrent use — its sweeps fan out internally with
+// per-worker scratch against the one compiled plan set.
 type Analyzer struct {
 	ckt       *netlist.Circuit
 	nodeIdx   map[string]int
@@ -63,6 +70,9 @@ type Analyzer struct {
 	branchIdx map[string]int
 	couplings []coupling
 	n         int // total unknowns = len(nodes) + len(branches)
+
+	srcs   []*netlist.Source // independent sources, in netlist order
+	srcIdx map[string]int
 
 	gPlan    []planEntry
 	bPlan    []planEntry
@@ -90,7 +100,8 @@ type Analyzer struct {
 	patBLen int // len(bPlan) the pattern was built for
 	patGen  int
 
-	scr solveScratch // serial-API scratch; SweepNodeCtx workers get their own
+	scr   solveScratch    // serial-API scratch; sweep workers get their own
+	spare []*solveScratch // sweep-worker scratch kept for the next sweep
 }
 
 // solveScratch is the per-worker reusable state of the solve path: the
@@ -103,8 +114,12 @@ type solveScratch struct {
 	sm  *linalg.SparseComplex
 	slu linalg.SparseComplexLU
 	gen int // pattern generation sm was built against
-	rhs []complex128
-	sol Solution
+	// base, when set, is the sweep's shared factorization whose pivot
+	// order every sparse factor replays (see SweepCtx).
+	base *linalg.SparseComplexLU
+	srcv []complex128 // per-source phasors of the current point
+	rhs  []complex128
+	sol  Solution
 }
 
 // coupling is a resolved mutual inductance between two inductor branches.
@@ -123,6 +138,7 @@ func NewAnalyzer(c *netlist.Circuit) (*Analyzer, error) {
 		ckt:       c,
 		nodeIdx:   map[string]int{},
 		branchIdx: map[string]int{},
+		srcIdx:    map[string]int{},
 	}
 	a.nodes = c.Nodes()
 	for i, n := range a.nodes {
@@ -133,18 +149,19 @@ func NewAnalyzer(c *netlist.Circuit) (*Analyzer, error) {
 			a.branchIdx[e.Name] = len(a.branches)
 			a.branches = append(a.branches, e)
 		}
+		if e.Kind == netlist.V || e.Kind == netlist.I {
+			a.srcIdx[e.Name] = len(a.srcs)
+			a.srcs = append(a.srcs, e.Src)
+		}
 	}
 	for _, e := range c.Elements {
 		if e.Kind != netlist.K {
 			continue
 		}
-		la, lb := c.Find(e.LA), c.Find(e.LB)
-		m := e.Coup * math.Sqrt(la.Value*lb.Value)
-		a.couplings = append(a.couplings, coupling{
-			bi: a.branchIdx[e.LA],
-			bj: a.branchIdx[e.LB],
-			m:  m,
-		})
+		// Validate guarantees both names are inductors, hence branches.
+		bi, bj := a.branchIdx[e.LA], a.branchIdx[e.LB]
+		m := e.Coup * math.Sqrt(a.branches[bi].Value*a.branches[bj].Value)
+		a.couplings = append(a.couplings, coupling{bi: bi, bj: bj, m: m})
 	}
 	a.n = len(a.nodes) + len(a.branches)
 	a.compile()
@@ -218,14 +235,14 @@ func (a *Analyzer) compile() {
 			if e.Kind == netlist.L {
 				addB(b, b, -e.Value)
 			} else {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: a.srcIdx[e.Name]})
 			}
 		case netlist.I:
 			if n1 >= 0 {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n1, negative: true, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n1, negative: true, src: a.srcIdx[e.Name]})
 			}
 			if n2 >= 0 {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n2, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n2, src: a.srcIdx[e.Name]})
 			}
 		case netlist.K:
 			// handled below via a.couplings
@@ -255,6 +272,13 @@ func (a *Analyzer) node(name string) int {
 		return -1
 	}
 	return a.nodeIdx[name]
+}
+
+// SourceIndex returns the index of the named V or I source in a Drive's
+// phasor slice.
+func (a *Analyzer) SourceIndex(name string) (int, bool) {
+	i, ok := a.srcIdx[name]
+	return i, ok
 }
 
 // SetSolver overrides the factorization backend for this Analyzer.
@@ -327,13 +351,14 @@ func (a *Analyzer) ensureSparsePlan() {
 // reuses the Analyzer's buffers and is valid until the next Solve.
 func (a *Analyzer) Solve(f float64) (*Solution, error) {
 	a.prepareSolver()
-	return a.solve(&a.scr, f)
+	return a.solve(&a.scr, f, 0, nil)
 }
 
-// solve runs one assembly/factor/resolve cycle against the given scratch.
-// The backend decision and (for sparse) the pattern must already be in
-// place via prepareSolver.
-func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
+// solve runs one assembly/factor/resolve cycle against the given scratch
+// for sweep point i (drive, when set, overrides its source phasors). The
+// backend decision and (for sparse) the pattern must already be in place
+// via prepareSolver.
+func (a *Analyzer) solve(s *solveScratch, f float64, i int, drive Drive) (*Solution, error) {
 	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("mna: invalid frequency %g", f)
 	}
@@ -341,6 +366,7 @@ func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
 	omega := 2 * math.Pi * f
 	if s.rhs == nil {
 		s.rhs = make([]complex128, a.n)
+		s.srcv = make([]complex128, len(a.srcs))
 		s.sol = Solution{a: a, x: make([]complex128, a.n)}
 	}
 
@@ -355,6 +381,9 @@ func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
 		if s.sm == nil || s.gen != a.patGen {
 			s.sm = linalg.NewSparseComplex(a.pat)
 			s.gen = a.patGen
+		}
+		if s.base != nil {
+			s.slu.ReplayFrom(s.base)
 		}
 		v := s.sm.V
 		for i := range v {
@@ -388,11 +417,17 @@ func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
 	if ferr != nil {
 		return nil, fmt.Errorf("mna: f=%g Hz: %w", f, ferr)
 	}
-	for i := range s.rhs {
-		s.rhs[i] = 0
+	for j, src := range a.srcs {
+		s.srcv[j] = sourceValue(src, f)
+	}
+	if drive != nil {
+		drive(i, s.srcv)
+	}
+	for j := range s.rhs {
+		s.rhs[j] = 0
 	}
 	for _, sl := range a.rhsPlan {
-		v := sourceValue(sl.src, f)
+		v := s.srcv[sl.src]
 		if sl.negative {
 			s.rhs[sl.row] -= v
 		} else {
@@ -413,12 +448,12 @@ func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
 // undoes the probe. Any previous probe is cleared first.
 func (a *Analyzer) SetProbeCoupling(la, lb string, k float64) error {
 	a.ClearProbeCoupling()
-	ea, eb := a.ckt.Find(la), a.ckt.Find(lb)
-	if ea == nil || ea.Kind != netlist.L || eb == nil || eb.Kind != netlist.L {
+	ia, oka := a.branchIdx[la]
+	ib, okb := a.branchIdx[lb]
+	if !oka || !okb || a.branches[ia].Kind != netlist.L || a.branches[ib].Kind != netlist.L {
 		return fmt.Errorf("mna: probe coupling %s/%s: both must be inductors", la, lb)
 	}
-	ia, ib := a.branchIdx[la], a.branchIdx[lb]
-	m := k * math.Sqrt(ea.Value*eb.Value)
+	m := k * math.Sqrt(a.branches[ia].Value*a.branches[ib].Value)
 	// The coupling stamps live at the tail of the base B plan, two entries
 	// per coupling in coupling order.
 	couplingStart := a.baseBLen - 2*len(a.couplings)
@@ -494,12 +529,9 @@ func (a *Analyzer) SweepNode(freqs []float64, node string) ([]complex128, error)
 }
 
 // SweepNodeCtx is the batched sweep: frequencies fan out over the shared
-// engine pool, each worker solving with its own scratch against the one
-// compiled plan set. Slot-per-index writes keep the result identical to
-// the serial sweep under any parallelism. The compiled plans (including
-// any active probe coupling) must not be mutated while the sweep runs.
+// engine pool (see SweepCtx) and the complex voltage of the named node is
+// read at each.
 func (a *Analyzer) SweepNodeCtx(ctx context.Context, freqs []float64, node string) ([]complex128, error) {
-	a.prepareSolver() // backend decision + shared pattern, before the fan-out
 	ctx, sp := obs.Start(ctx, "mna.sweep")
 	sp.Int("freqs", int64(len(freqs)))
 	var f0, r0 uint64
@@ -515,18 +547,69 @@ func (a *Analyzer) SweepNodeCtx(ctx context.Context, freqs []float64, node strin
 		sp.End()
 	}()
 	out := make([]complex128, len(freqs))
-	err := engine.ForEachStateCtx(ctx, len(freqs),
-		func() (*solveScratch, error) { return &solveScratch{}, nil },
-		func(s *solveScratch, i int) error {
-			sol, err := a.solve(s, freqs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = sol.NodeVoltage(node)
-			return nil
-		})
+	err := a.SweepCtx(ctx, freqs, nil, func(i int, sol *Solution) error {
+		out[i] = sol.NodeVoltage(node)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// SweepCtx solves point i at frequency freqs[i] for every i, fanned out
+// over the shared engine pool: each worker solves with its own scratch
+// against the one compiled plan set, drive (optional) sets each point's
+// source phasors, and read receives the point's solution, valid only
+// during the call. A point's bits depend only on its own values, so the
+// results are identical under any parallelism: dense factorizations keep
+// no state between points, and sparse ones all replay the pivot order of
+// point 0's full factorization, solved before the fan-out (a point whose
+// retained pivot decays re-pivots for itself only). The compiled plans,
+// including any active probe coupling, must not change during the sweep.
+func (a *Analyzer) SweepCtx(ctx context.Context, freqs []float64, drive Drive, read func(i int, sol *Solution) error) error {
+	sparse := a.prepareSolver() // backend decision + shared pattern, before the fan-out
+	point := func(s *solveScratch, i int) error {
+		sol, err := a.solve(s, freqs[i], i, drive)
+		if err != nil {
+			return err
+		}
+		return read(i, sol)
+	}
+	// base is always a fresh LU, so a spare scratch that still replays
+	// an earlier sweep's base (and keeps it alive) cannot mistake it for
+	// this one.
+	var base *linalg.SparseComplexLU
+	first := 0
+	if sparse && len(freqs) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s := &solveScratch{}
+		if err := point(s, 0); err != nil {
+			return err
+		}
+		base, first = &s.slu, 1
+	}
+	// Worker scratch is recycled across sweeps, so repeated sweeps (the
+	// sensitivity ranking's probes) allocate no new solve buffers.
+	var mu sync.Mutex
+	var used []*solveScratch
+	err := engine.ForEachStateCtx(ctx, len(freqs)-first,
+		func() (*solveScratch, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			var s *solveScratch
+			if n := len(a.spare); n > 0 {
+				s, a.spare = a.spare[n-1], a.spare[:n-1]
+			} else {
+				s = &solveScratch{}
+			}
+			s.base = base
+			used = append(used, s)
+			return s, nil
+		},
+		func(s *solveScratch, i int) error { return point(s, first+i) })
+	a.spare = append(a.spare, used...)
+	return err
 }

@@ -3,10 +3,12 @@ package mna
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/netlist"
 )
@@ -271,6 +273,40 @@ func TestSolverFillFallback(t *testing.T) {
 	for i := range vd.x {
 		if d := cmplx.Abs(vd.x[i] - vs.x[i]); d > 1e-9*(1+cmplx.Abs(vd.x[i])) {
 			t.Fatalf("unknown %d: dense %v vs sparse %v", i, vd.x[i], vs.x[i])
+		}
+	}
+}
+
+// TestParallelSparseSweepReproducible: a pooled sparse sweep must give
+// the serial sweep's bits on every run. Each point replays the base pivot
+// order of the sweep's first point, so which worker solved which points
+// before cannot leak into a point's rounding.
+func TestParallelSparseSweepReproducible(t *testing.T) {
+	a, err := NewAnalyzer(ladderCircuit(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetSolver(linalg.ModeSparse)
+	freqs := make([]float64, 200)
+	for i := range freqs {
+		freqs[i] = 1e3 * math.Pow(1.08, float64(i))
+	}
+	prev := engine.SetMaxParallelism(1)
+	defer engine.SetMaxParallelism(prev)
+	want, err := a.SweepNode(freqs, "n25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.SetMaxParallelism(4)
+	for run := 0; run < 20; run++ {
+		got, err := a.SweepNode(freqs, "n25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d, f=%g: parallel %v, serial %v", run, freqs[i], got[i], want[i])
+			}
 		}
 	}
 }

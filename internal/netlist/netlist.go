@@ -286,16 +286,16 @@ func (c *Circuit) Nodes() []string {
 // referencing existing inductors with |k| <= 1, positive passive values and
 // a ground reference.
 func (c *Circuit) Validate() error {
-	names := map[string]bool{}
+	byName := make(map[string]*Element, len(c.Elements))
 	hasGround := false
 	for _, e := range c.Elements {
 		if e.Name == "" {
 			return fmt.Errorf("netlist: element with empty name (kind %v)", e.Kind)
 		}
-		if names[e.Name] {
+		if byName[e.Name] != nil {
 			return fmt.Errorf("netlist: duplicate element name %q", e.Name)
 		}
-		names[e.Name] = true
+		byName[e.Name] = e
 		// Names must follow the SPICE convention — kind letter first — or
 		// the text form would not parse back to the same circuit.
 		if got := strings.ToUpper(e.Name[:1]); got != e.Kind.String() {
@@ -323,7 +323,7 @@ func (c *Circuit) Validate() error {
 		if e.Kind != K {
 			continue
 		}
-		la, lb := c.Find(e.LA), c.Find(e.LB)
+		la, lb := byName[e.LA], byName[e.LB]
 		if la == nil || la.Kind != L {
 			return fmt.Errorf("netlist: %s couples unknown inductor %q", e.Name, e.LA)
 		}

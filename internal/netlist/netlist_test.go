@@ -144,8 +144,17 @@ func TestValidateCatchesErrors(t *testing.T) {
 	if err := mk(func(c *Circuit) { c.AddC("C1", "a", "0", -1) }); err == nil {
 		t.Error("negative value not caught")
 	}
-	if err := mk(func(c *Circuit) { c.AddK("K1", "L1", "L2", 0.1) }); err == nil {
-		t.Error("K with unknown inductors not caught")
+	// A K naming a missing element or a non-inductor, on either side.
+	for _, tc := range []struct{ la, lb, bad string }{
+		{"L1", "LX", "LX"}, {"LX", "L1", "LX"}, {"R1", "L1", "R1"}, {"L1", "R1", "R1"},
+	} {
+		err := mk(func(c *Circuit) {
+			c.AddL("L1", "a", "0", 1e-6)
+			c.AddK("K1", tc.la, tc.lb, 0.1)
+		})
+		if want := `netlist: K1 couples unknown inductor "` + tc.bad + `"`; err == nil || err.Error() != want {
+			t.Errorf("K1 %s/%s: error %v, want %q", tc.la, tc.lb, err, want)
+		}
 	}
 	if err := mk(func(c *Circuit) {
 		c.AddL("L1", "a", "0", 1e-6)

@@ -15,7 +15,8 @@ import "repro/internal/engine"
 // translation by one ULP, misses. Keys never canonicalise symmetry
 // (Mutual(a,b) vs Mutual(b,a)): the summation order differs, so the
 // floating-point results may too, and the cache must be invisible in
-// the output.
+// the output. MutualHier's keys feed each conductor's 128-bit digest of
+// that same state, computed once per SegTree, instead of its segments.
 
 // Cache key tags, one per memoized computation.
 const (
@@ -50,16 +51,27 @@ func mutualKey(a, b *Conductor, order int) engine.Key {
 	return h.Sum()
 }
 
-// mutualHierKey builds the cache key for MutualHier at a given theta.
-// theta is part of the key: a different accuracy setting is a different
-// (deterministic) result.
-func mutualHierKey(a, b *Conductor, order int, theta float64) engine.Key {
+// digest returns the 128-bit hash of the conductor's full field-relevant
+// state (see hashInto), for keys built from precomputed digests.
+func (c *Conductor) digest() engine.Key {
+	h := engine.NewHasher()
+	c.hashInto(h)
+	return h.Sum()
+}
+
+// mutualHierKey builds the cache key for MutualHier at a given theta from
+// the two trees' conductor digests, hashed once per tree rather than once
+// per pair. theta is part of the key: a different accuracy setting is a
+// different (deterministic) result.
+func mutualHierKey(a, b *SegTree, order int, theta float64) engine.Key {
 	h := engine.NewHasher()
 	h.Int(tagMutualHier)
 	h.Int(order)
 	h.Float64(theta)
-	a.hashInto(h)
-	b.hashInto(h)
+	for _, d := range [2]engine.Key{a.digest, b.digest} {
+		h.Uint64(d[0])
+		h.Uint64(d[1])
+	}
 	return h.Sum()
 }
 

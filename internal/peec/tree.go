@@ -62,15 +62,17 @@ type treeNode struct {
 // widest axis); the tree holds its own reordered copy of the segments,
 // leaving the conductor untouched.
 type SegTree struct {
-	c     *Conductor
-	segs  []Segment
-	nodes []treeNode
+	c      *Conductor
+	segs   []Segment
+	nodes  []treeNode
+	digest engine.Key // c's cache-key digest, taken when the tree was built
 }
 
 // NewSegTree builds the segment tree of c. An empty conductor yields an
-// empty tree (MutualHier returns 0 for it).
+// empty tree (MutualHier returns 0 for it). The tree snapshots c's
+// segments and cache-key digest: rebuild it after changing c.
 func NewSegTree(c *Conductor) *SegTree {
-	t := &SegTree{c: c, segs: append([]Segment(nil), c.Segments...)}
+	t := &SegTree{c: c, segs: append([]Segment(nil), c.Segments...), digest: c.digest()}
 	if len(t.segs) > 0 {
 		t.build(0, len(t.segs))
 	}
@@ -247,7 +249,7 @@ func MutualHier(a, b *SegTree, order int, theta float64) float64 {
 	if len(a.segs) == 0 || len(b.segs) == 0 {
 		return 0
 	}
-	return engine.Memo(mutualHierKey(a.c, b.c, order, theta), func() float64 {
+	return engine.Memo(mutualHierKey(a, b, order, theta), func() float64 {
 		sum := a.mutualRec(b, 0, 0, order, theta)
 		return math.Sqrt(a.c.muEff()*b.c.muEff()) * a.c.shield() * b.c.shield() * sum
 	})

@@ -1,6 +1,7 @@
 package peec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,6 +151,54 @@ func TestSegTreeCoversSegments(t *testing.T) {
 			if d := s.B.Sub(n.center).Norm(); d > n.radius*(1+1e-12) {
 				t.Fatalf("node %d: endpoint outside radius (%g > %g)", ni, d, n.radius)
 			}
+		}
+	}
+}
+
+// TestMutualHierKeyCoversEveryField: the pair key built from per-tree
+// digests still changes with one ULP of any field-relevant input, with
+// the order, theta and argument order, and not with rebuilding a tree
+// over the same geometry.
+func TestMutualHierKeyCoversEveryField(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a := randomPolyline(rng, geom.V3(0, 0, 0), 6, 0.01)
+	b := randomPolyline(rng, geom.V3(0.03, 0, 0), 5, 0.01)
+	ta, tb := NewSegTree(a), NewSegTree(b)
+	base := mutualHierKey(ta, tb, DefaultOrder, 0.3)
+	if got := mutualHierKey(NewSegTree(a), NewSegTree(b), DefaultOrder, 0.3); got != base {
+		t.Fatal("rebuilt trees over the same geometry changed the key")
+	}
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	differs := map[string]engine.Key{
+		"order":   mutualHierKey(ta, tb, DefaultOrder+1, 0.3),
+		"theta":   mutualHierKey(ta, tb, DefaultOrder, up(0.3)),
+		"swapped": mutualHierKey(tb, ta, DefaultOrder, 0.3),
+	}
+	perturb := func(name string, edit func(c *Conductor)) {
+		c := *b
+		c.Segments = append([]Segment(nil), b.Segments...)
+		edit(&c)
+		differs[name] = mutualHierKey(ta, NewSegTree(&c), DefaultOrder, 0.3)
+	}
+	perturb("mu", func(c *Conductor) { c.MuEff = up(c.MuEff) })
+	perturb("shield", func(c *Conductor) { c.Shield = 0.5 })
+	perturb("segments", func(c *Conductor) { c.Segments = c.Segments[:len(c.Segments)-1] })
+	for i := range b.Segments {
+		for f, ptr := range []func(s *Segment) *float64{
+			func(s *Segment) *float64 { return &s.A.X }, func(s *Segment) *float64 { return &s.A.Y },
+			func(s *Segment) *float64 { return &s.A.Z }, func(s *Segment) *float64 { return &s.B.X },
+			func(s *Segment) *float64 { return &s.B.Y }, func(s *Segment) *float64 { return &s.B.Z },
+			func(s *Segment) *float64 { return &s.Radius },
+		} {
+			perturb(fmt.Sprintf("segment %d field %d", i, f), func(c *Conductor) {
+				p := ptr(&c.Segments[i])
+				*p = up(*p)
+			})
+		}
+	}
+	for name, k := range differs {
+		if k == base {
+			t.Errorf("%s: key unchanged", name)
 		}
 	}
 }
