@@ -159,3 +159,29 @@ func TestSolveFactoredDimensionMismatch(t *testing.T) {
 		t.Error("short x should error")
 	}
 }
+
+// TestFactorResolveAllocFree pins the scratch-reuse contract: once a
+// factorization has been used, refactoring and resolving allocate
+// nothing, for both element types.
+func TestFactorResolveAllocFree(t *testing.T) {
+	c := []complex128{4, 1, 0, 1, complex(5, 1), 2, 0, 2, 6}
+	mc := &Complex{N: 3, V: make([]complex128, len(c))}
+	var fc ComplexLU
+	bc, xc := []complex128{1, 2, 3}, make([]complex128, 3)
+	r := []float64{4, 1, 0, 1, 5, 2, 0, 2, 6}
+	mr := &Real{N: 3, V: make([]float64, len(r))}
+	var fr RealLU
+	br, xr := []float64{1, 2, 3}, make([]float64, 3)
+	cycle := func() {
+		copy(mc.V, c)
+		copy(mr.V, r)
+		if mc.Factor(&fc) != nil || fc.SolveFactored(bc, xc) != nil ||
+			mr.Factor(&fr) != nil || fr.SolveFactored(br, xr) != nil {
+			t.Fatal("factor/resolve failed")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("factor/resolve cycle allocates %v times", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/quadrature"
 )
 
@@ -41,7 +42,7 @@ func MutualFilaments(a, b Segment, order int) float64 {
 		return 0 // perpendicular filaments never couple
 	}
 	gmd := filamentGMD(a.Radius, b.Radius)
-	integral := neumann(a, b, order, gmd, 0)
+	integral := neumann(a, b, quadrature.Legendre(order), gmd, 0)
 	return Mu0 / (4 * math.Pi) * cosAB * integral
 }
 
@@ -57,30 +58,49 @@ func filamentGMD(ra, rb float64) float64 {
 // neumann evaluates ∫∫ ds dt / sqrt(dist² + gmd²) over both segments,
 // subdividing the longer segment while the pair is close relative to its
 // size (where the kernel varies too fast for the fixed-order rule).
-func neumann(a, b Segment, order int, gmd float64, depth int) float64 {
+func neumann(a, b Segment, rule quadrature.Rule, gmd float64, depth int) float64 {
 	la, lb := a.Length(), b.Length()
 	d := segmentMinDistance(a, b)
 	if depth < maxSubdivide && d < 0.5*math.Max(la, lb) {
 		// Split the longer segment at its midpoint and recurse.
 		if la >= lb {
 			m := a.Center()
-			return neumann(Segment{a.A, m, a.Radius}, b, order, gmd, depth+1) +
-				neumann(Segment{m, a.B, a.Radius}, b, order, gmd, depth+1)
+			return neumann(Segment{a.A, m, a.Radius}, b, rule, gmd, depth+1) +
+				neumann(Segment{m, a.B, a.Radius}, b, rule, gmd, depth+1)
 		}
 		m := b.Center()
-		return neumann(a, Segment{b.A, m, b.Radius}, order, gmd, depth+1) +
-			neumann(a, Segment{m, b.B, b.Radius}, order, gmd, depth+1)
+		return neumann(a, Segment{b.A, m, b.Radius}, rule, gmd, depth+1) +
+			neumann(a, Segment{m, b.B, b.Radius}, rule, gmd, depth+1)
 	}
+	return neumannRule(a, b, rule, gmd*gmd) * la * lb
+}
+
+// neumannRule is quadrature.Integrate2D of 1/sqrt(|p(s)−q(t)|² + g2) over
+// the unit square, p(s) = a.A + s·(a.B−a.A) and q(t) likewise on b, with
+// Integrate2D's arithmetic in Integrate2D's order, so the bits match the
+// closure form. Only the invariants move out of the inner loop: the
+// rule's b-side points are built once per call and each a-side point
+// once per outer node.
+func neumannRule(a, b Segment, rule quadrature.Rule, g2 float64) float64 {
 	da := a.B.Sub(a.A)
 	db := b.B.Sub(b.A)
-	g2 := gmd * gmd
-	f := func(s, t float64) float64 {
-		p := a.A.Add(da.Scale(s))
-		q := b.A.Add(db.Scale(t))
-		diff := p.Sub(q)
-		return 1 / math.Sqrt(diff.Dot(diff)+g2)
+	var qbuf [16]geom.Vec3 // rules up to order 16 keep q on the stack
+	q := qbuf[:0]
+	for _, y := range rule.Nodes {
+		q = append(q, b.A.Add(db.Scale(0.5+0.5*y)))
 	}
-	return quadrature.Integrate2D(f, 0, 1, 0, 1, order) * la * lb
+	w := rule.Weights[:len(q)]
+	sum := 0.0
+	for i, x := range rule.Nodes {
+		p := a.A.Add(da.Scale(0.5 + 0.5*x))
+		rowSum := 0.0
+		for j, qj := range q {
+			diff := p.Sub(qj)
+			rowSum += w[j] * (1 / math.Sqrt(diff.Dot(diff)+g2))
+		}
+		sum += w[i] * rowSum
+	}
+	return sum * 0.5 * 0.5
 }
 
 // segmentMinDistance returns the minimum distance between two segments,

@@ -4,8 +4,10 @@ package quadrature
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Rule holds quadrature nodes and weights on the reference interval [-1, 1].
@@ -15,22 +17,44 @@ type Rule struct {
 }
 
 var (
+	// cache maps order → rule. It is copy-on-write: readers load the
+	// current map without locking, and cacheMu only serialises the rare
+	// insertion of a new order.
+	cache   atomic.Pointer[map[int]Rule]
 	cacheMu sync.Mutex
-	cache   = map[int]Rule{}
 )
 
 // Legendre returns the n-point Gauss–Legendre rule on [-1, 1]. Rules are
-// computed once by Newton iteration on the Legendre polynomial and cached.
-// n must be >= 1.
+// computed once by Newton iteration on the Legendre polynomial and cached;
+// a cached rule is returned without locking. n must be >= 1.
 func Legendre(n int) Rule {
 	if n < 1 {
 		panic(fmt.Sprintf("quadrature: invalid rule order %d", n))
 	}
+	if m := cache.Load(); m != nil {
+		if r, ok := (*m)[n]; ok {
+			return r
+		}
+	}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if r, ok := cache[n]; ok {
-		return r
+	old := cache.Load()
+	if old != nil {
+		if r, ok := (*old)[n]; ok {
+			return r
+		}
 	}
+	r := newRule(n)
+	next := map[int]Rule{n: r}
+	if old != nil {
+		maps.Copy(next, *old)
+	}
+	cache.Store(&next)
+	return r
+}
+
+// newRule computes the n-point rule.
+func newRule(n int) Rule {
 	r := Rule{
 		Nodes:   make([]float64, n),
 		Weights: make([]float64, n),
@@ -60,7 +84,6 @@ func Legendre(n int) Rule {
 		_, d := legendrePoly(n, 0)
 		r.Weights[n/2] = 2 / (d * d)
 	}
-	cache[n] = r
 	return r
 }
 

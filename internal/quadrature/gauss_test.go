@@ -2,6 +2,7 @@ package quadrature
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -103,5 +104,39 @@ func TestRuleCaching(t *testing.T) {
 	b := Legendre(7)
 	if &a.Nodes[0] != &b.Nodes[0] {
 		t.Error("rules should be cached and shared")
+	}
+}
+
+// TestLegendreConcurrent: concurrent first lookups of overlapping orders
+// (run it under -race) all see one cached rule per order, equal to a
+// freshly computed one.
+func TestLegendreConcurrent(t *testing.T) {
+	t.Parallel()
+	const workers = 8
+	got := make([][]Rule, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 40; n < 80; n++ {
+				got[w] = append(got[w], Legendre(n+w%3))
+			}
+		}()
+	}
+	wg.Wait()
+	for w, rules := range got {
+		for i, r := range rules {
+			n := 40 + i + w%3
+			if &r.Nodes[0] != &Legendre(n).Nodes[0] {
+				t.Fatalf("worker %d: order %d not the shared cached rule", w, n)
+			}
+			want := newRule(n)
+			for k := range want.Nodes {
+				if r.Nodes[k] != want.Nodes[k] || r.Weights[k] != want.Weights[k] {
+					t.Fatalf("order %d node %d differs from a fresh rule", n, k)
+				}
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,6 +248,167 @@ func TestDoneResultsSurviveRestart(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("engine ran %d times, want 1 (restart + dedup reuse)", n)
+	}
+}
+
+// appendGate holds every terminal AppendJob until open is closed,
+// reporting each held record on held, so a test can look at a job whose
+// outcome is known but not yet in the journal.
+type appendGate struct {
+	store.Store
+	held chan store.JobRecord
+	open chan struct{}
+}
+
+func (g *appendGate) AppendJob(rec store.JobRecord) error {
+	if rec.State != store.JobQueued {
+		g.held <- rec
+		<-g.open
+	}
+	return g.Store.AppendJob(rec)
+}
+
+// TestWaitFollowsTerminalAppend: a finished job and a cancelled queued
+// job both release their waiters only after the terminal record is
+// appended, never while the append is still pending.
+func TestWaitFollowsTerminalAppend(t *testing.T) {
+	// held has a slot for each of the test's two terminal records.
+	gate := &appendGate{Store: store.NewMemory(),
+		held: make(chan store.JobRecord, 2), open: make(chan struct{})}
+	running := make(chan struct{})
+	finish := make(chan struct{})
+	s := testServer(t, Config{
+		Workers: 1, ResultTTL: time.Hour, Store: gate,
+		Runners: map[Kind]Runner{"work": func(ctx context.Context, req []byte) (any, error) {
+			if string(req) == `{"block":true}` {
+				close(running)
+				<-finish
+			}
+			return map[string]int{"answer": 42}, nil
+		}},
+	})
+	// Registered after testServer, so it runs before the drain: a failed
+	// assertion must not leave the worker or the gate blocked.
+	var finishOnce, openOnce sync.Once
+	finishJob := func() { finishOnce.Do(func() { close(finish) }) }
+	openGate := func() { openOnce.Do(func() { close(gate.open) }) }
+	t.Cleanup(func() { finishJob(); openGate() })
+	heldRecord := func(want string) store.JobRecord {
+		t.Helper()
+		select {
+		case rec := <-gate.held:
+			if rec.State != want {
+				t.Fatalf("held record state %q, want %q", rec.State, want)
+			}
+			return rec
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no terminal append for a %s job", want)
+		}
+		return store.JobRecord{}
+	}
+
+	// A queued job behind a busy worker, cancelled: Cancel blocks in the
+	// append, and the job must not read as finished to its waiters.
+	busy, err := s.Submit("work", []byte(`{"block":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	queued, err := s.Submit("work", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Cancel(queued.ID)
+	heldRecord(store.JobCancelled)
+	select {
+	case <-queued.Done():
+		t.Fatal("cancelled job released its waiters before its terminal record was appended")
+	default:
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	gate.open <- struct{}{} // let the cancellation through
+	if err := queued.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The busy job finishes; its done record is held the same way.
+	finishJob()
+	heldRecord(store.JobDone)
+	select {
+	case <-busy.Done():
+		t.Fatal("done job released its waiters before its terminal record was appended")
+	default:
+	}
+	openGate()
+	if err := busy.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := gate.LoadJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]string{}
+	for _, r := range recs {
+		states[r.ID] = r.State
+	}
+	if states[queued.ID] != store.JobCancelled || states[busy.ID] != store.JobDone {
+		t.Fatalf("journal states %v", states)
+	}
+}
+
+// queuedProbe holds each queued-record append until the job's runner
+// starts or 200 ms pass, and counts the appends a runner overtook.
+type queuedProbe struct {
+	store.Store
+	started   chan struct{}
+	overtaken atomic.Int32
+}
+
+func (p *queuedProbe) AppendJob(rec store.JobRecord) error {
+	if rec.State == store.JobQueued {
+		select {
+		case <-p.started:
+			p.overtaken.Add(1)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	return p.Store.AppendJob(rec)
+}
+
+// TestQueuedRecordPrecedesRun: no worker may run a job before its queued
+// record is in the journal. A job that finished first appended its
+// terminal record ahead of the queued one, so the journal folded back to
+// "queued" and a restart ran the finished job again.
+func TestQueuedRecordPrecedesRun(t *testing.T) {
+	probe := &queuedProbe{Store: store.NewMemory(), started: make(chan struct{})}
+	var once sync.Once
+	s1 := testServer(t, Config{
+		Workers: 1, ResultTTL: time.Hour, Store: probe,
+		Runners: map[Kind]Runner{"work": func(ctx context.Context, req []byte) (any, error) {
+			once.Do(func() { close(probe.started) })
+			return map[string]int{"answer": 42}, nil
+		}},
+	})
+	j, err := s1.Submit("work", []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := probe.overtaken.Load(); n != 0 {
+		t.Fatalf("a worker ran the job before its queued record was appended")
+	}
+	recs, err := probe.LoadJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].State != store.JobDone {
+		t.Fatalf("journal folds to %+v, want one done job", recs)
 	}
 }
 

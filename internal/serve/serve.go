@@ -449,9 +449,9 @@ func (s *Server) submit(kind Kind, body []byte, pin bool, tid obs.TraceID) (*Job
 	} else {
 		j.waiters = 1
 	}
-	select {
-	case s.queue <- j:
-	default:
+	// After start-up every send on s.queue happens under s.mu and the
+	// workers only receive, so a free slot seen here is still free below.
+	if len(s.queue) == cap(s.queue) {
 		s.m.rejectedFull.Add(1)
 		return nil, ErrQueueFull
 	}
@@ -459,7 +459,11 @@ func (s *Server) submit(kind Kind, body []byte, pin bool, tid obs.TraceID) (*Job
 	s.inflight[key] = j
 	s.m.submitted.Add(1)
 	// Write-ahead before the caller sees the job ID: an acknowledged
-	// submission survives a restart (it is requeued, not lost).
+	// submission survives a restart (it is requeued, not lost). The
+	// record also goes in before a worker can see the job: a worker
+	// that finished first would append its terminal record ahead of
+	// this one, and recovery, which keeps each job's last record, would
+	// run the job again.
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.AppendJob(store.JobRecord{
 			ID: j.ID, Kind: string(kind), State: store.JobQueued,
@@ -468,6 +472,7 @@ func (s *Server) submit(kind Kind, body []byte, pin bool, tid obs.TraceID) (*Job
 			s.cfg.Logger.Warn("job journal append", "job", j.ID, "err", err)
 		}
 	}
+	s.queue <- j
 	return j, nil
 }
 
@@ -553,11 +558,9 @@ func (s *Server) cancelJob(j *Job, reason string, requeue bool) bool {
 		j.requeue = requeue
 		j.errMsg = reason
 		j.finished = s.now()
-		close(j.done)
-		j.progress.close()
 		j.mu.Unlock()
-		s.finishJob(j, StateCancelled)
 		s.persistJobFinal(j, StateCancelled)
+		s.release(j, StateCancelled)
 		return true
 	case StateRunning:
 		j.canceled = true
@@ -661,17 +664,27 @@ func (s *Server) run(j *Job) {
 	}
 	j.state = final
 	result := j.result
-	close(j.done)
-	j.progress.close()
 	j.mu.Unlock()
 
-	s.finishJob(j, final)
 	s.persistJobFinal(j, final)
 	if final == StateDone {
 		s.mu.Lock()
 		s.store.put(j.Key, j.ID, result, s.now())
 		s.mu.Unlock()
 	}
+	s.release(j, final)
+}
+
+// release retires a terminal job from the in-flight set, then wakes its
+// waiters and event streams. Callers append the terminal record first:
+// Wait and ?wait=1 never answer for a job whose outcome a restart could
+// still lose.
+func (s *Server) release(j *Job, final State) {
+	s.finishJob(j, final)
+	j.mu.Lock()
+	close(j.done)
+	j.progress.close()
+	j.mu.Unlock()
 }
 
 // finishJob records a terminal transition: the job leaves the in-flight
